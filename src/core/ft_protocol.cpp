@@ -19,33 +19,11 @@ namespace dlb::core {
 
 namespace {
 
-
 // ---------------------------------------------------------------------------
-// Wire messages.  Separate types from the fault-free protocol: the two paths
-// never exchange messages, and keeping them apart means arming a plan cannot
-// change the unarmed wire format.
+// Wire messages.  Interrupts, profiles and outcomes are the fault-free
+// protocol's own types (protocol.hpp) on the FT tag blocks; only the acked
+// shipment, its ack and the heartbeat are FT-only.
 // ---------------------------------------------------------------------------
-
-struct FtInterruptMsg {
-  int round = 0;
-  int group = 0;
-  int coordinator = 0;
-};
-
-struct FtProfileMsg {
-  int round = 0;
-  int group = 0;
-  ProfileSnapshot snapshot;
-};
-
-struct FtOutcomeMsg {
-  int round = 0;
-  int group = 0;
-  bool loop_done = false;
-  bool moved = false;
-  std::vector<Transfer> transfers;
-  std::vector<int> active_after;
-};
 
 struct FtWorkMsg {
   std::uint64_t ship = 0;
@@ -105,7 +83,7 @@ struct FtState {
   std::vector<int> round;
   std::vector<std::vector<int>> active;
   std::vector<char> done;
-  std::vector<std::optional<FtOutcomeMsg>> last_outcome;
+  std::vector<std::optional<OutcomeMsg>> last_outcome;
   std::vector<std::int64_t> group_iters;
   std::vector<std::int64_t> group_covered;
   std::size_t groups_done = 0;
@@ -134,14 +112,10 @@ struct FtState {
   std::vector<std::unique_ptr<Recovery>> recoveries;
 };
 
-/// Slave-local state, living in the slave coroutine frame.
-struct FtSlaveState {
+/// Slave-local state, living in the slave coroutine frame: the plain
+/// slave's round window plus the failure-handling fields.
+struct FtSlaveState : SlaveState {
   int group = 0;
-  int round = 0;
-  std::vector<int> active;
-  sim::SimTime window_start = 0;
-  std::int64_t done_in_window = 0;
-  double last_rate = 0.0;
   int suspicion_round = -1;  // last round we initiated a suspicion sync for
   int pending_sync = -1;     // interrupt round seen while mid-apply
   /// Shipments already folded in, as (round, from) — distinguishes "sender
@@ -220,48 +194,6 @@ bool group_has_ledger(const FtState& ft, int g) {
                      [g](const FtShipment& s) { return s.group == g; });
 }
 
-ProfileSnapshot ft_snapshot(FtState& ft, int self, FtSlaveState& st) {
-  auto& ctx = *ft.ctx;
-  auto& me = ctx.cluster->station(self);
-  const double elapsed = sim::to_seconds(me.engine().now() - st.window_start);
-  double rate = 0.0;
-  if (st.done_in_window > 0 && elapsed > 0.0) {
-    rate = static_cast<double>(st.done_in_window) / elapsed;
-  } else if (st.last_rate > 0.0) {
-    rate = st.last_rate;
-  } else {
-    const double mean_ops = std::max(ctx.loop->mean_ops(), 1.0);
-    rate = me.speed() * ctx.base_rate() / mean_ops;
-  }
-  st.last_rate = rate;
-  return ProfileSnapshot{self, ctx.owned[static_cast<std::size_t>(self)].size(), rate, true};
-}
-
-void ft_record_event(FtState& ft, int group, int round, int initiator, const Decision& d) {
-  SyncEvent e;
-  e.at_seconds = sim::to_seconds(ft.ctx->cluster->engine().now());
-  e.round = round;
-  e.group = group;
-  e.initiator = initiator;
-  e.total_remaining = d.total_remaining;
-  e.iterations_moved = d.moved ? d.to_move : 0;
-  e.transfer_messages = static_cast<int>(d.transfers.size());
-  e.redistributed = d.moved;
-  ft.ctx->stats.events.push_back(e);
-}
-
-std::vector<int> ft_remove_inactive(const std::vector<int>& active,
-                                    const std::vector<int>& newly_inactive) {
-  std::vector<int> out;
-  out.reserve(active.size());
-  for (const int p : active) {
-    if (std::find(newly_inactive.begin(), newly_inactive.end(), p) == newly_inactive.end()) {
-      out.push_back(p);
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Message handling shared by the compute loop and every wait loop.
 // ---------------------------------------------------------------------------
@@ -295,7 +227,7 @@ sim::Task<bool> handle_bg(FtState& ft, int self, FtSlaveState& st, sim::Message 
       co_return false;
     }
     case kFtOffInterrupt: {
-      const auto& im = m.as<FtInterruptMsg>();
+      const auto& im = m.as<InterruptMsg>();
       co_return im.round >= st.round;
     }
     case kFtOffHeartbeat:
@@ -317,7 +249,7 @@ sim::Task<bool> peek_profiles(FtState& ft, int self, FtSlaveState& st) {
   for (;;) {
     auto m = me.poll_range(ft_tag(g, kFtOffProfile), ft_tag(g, kFtOffProfile));
     if (!m) co_return false;
-    const auto pm = m->as<FtProfileMsg>();
+    const auto pm = m->as<ProfileMsg>();
     note_heard(ft, self, pm.snapshot.proc);
     if (ft.done[static_cast<std::size_t>(g)] != 0 ||
         pm.round < ft.round[static_cast<std::size_t>(g)]) {
@@ -345,9 +277,9 @@ int coordinator_of(const FtState& ft, int g) {
 // coordinator and the centralized balancer.
 // ---------------------------------------------------------------------------
 
-sim::Task<FtOutcomeMsg> ft_decide(FtState& ft, int station_id, int g,
-                                  std::vector<std::optional<ProfileSnapshot>>& got,
-                                  bool centralized_overhead, int initiator) {
+sim::Task<OutcomeMsg> ft_decide(FtState& ft, int station_id, int g,
+                                std::vector<std::optional<ProfileSnapshot>>& got,
+                                bool centralized_overhead, int initiator) {
   auto& ctx = *ft.ctx;
   auto& me = ctx.cluster->station(station_id);
   const int round = ft.round[static_cast<std::size_t>(g)];
@@ -414,14 +346,14 @@ sim::Task<FtOutcomeMsg> ft_decide(FtState& ft, int station_id, int g,
                              ft.group_iters[static_cast<std::size_t>(g)] &&
                          pool.empty() && !group_has_ledger(ft, g);
 
-  FtOutcomeMsg out;
+  OutcomeMsg out;
   out.round = round;
   out.group = g;
   out.loop_done = loop_done;
   out.moved = d.moved;
   out.transfers = d.transfers;
   if (!loop_done) {
-    out.active_after = ft_remove_inactive(participants, d.newly_inactive);
+    out.active_after = remove_inactive(participants, d.newly_inactive);
     // Never leave the group driverless while work could still resurface
     // from a late death: keep the lowest participant active even if idle —
     // it will initiate the next round immediately and settle the group.
@@ -431,7 +363,7 @@ sim::Task<FtOutcomeMsg> ft_decide(FtState& ft, int station_id, int g,
       out.active_after.push_back(participants.front());
     }
   }
-  ft_record_event(ft, g, round, initiator, d);
+  record_event(ctx, g, round, initiator, d);
 
   ft.last_outcome[static_cast<std::size_t>(g)] = out;
   ft.round[static_cast<std::size_t>(g)] = round + 1;
@@ -455,15 +387,16 @@ bool has_absorbed(const FtSlaveState& st, int round, int from) {
          st.absorbed.end();
 }
 
-sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, FtOutcomeMsg out) {
+sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, OutcomeMsg out) {
   auto& ctx = *ft.ctx;
   auto& me = ctx.cluster->station(self);
   auto& mine = ctx.owned[static_cast<std::size_t>(self)];
   const int g = st.group;
   if (out.loop_done) co_return FtStatus::kLoopDone;
 
-  const sim::SimTime move_began = me.engine().now();
   if (out.moved) {
+    const sim::SimTime move_began = me.engine().now();
+    std::int64_t iterations_shipped = 0;
     for (const auto& t : out.transfers) {
       if (t.from != self || t.count <= 0) continue;
       const std::int64_t count = std::min(t.count, mine.size());
@@ -473,6 +406,7 @@ sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, FtOutcomeM
       wm.round = out.round;
       wm.group = g;
       wm.ranges = mine.take_back(count);
+      iterations_shipped += count;
       ft.ledger.push_back({wm.ship, self, t.to, g, out.round, wm.ranges});
       const auto bytes =
           ctx.config.control_bytes +
@@ -489,7 +423,7 @@ sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, FtOutcomeM
           if (!is_alive(ft, self)) co_return FtStatus::kDead;
           if (!m) break;
           if (m->tag == ft_tag(g, kFtOffInterrupt)) {
-            const auto& im = m->as<FtInterruptMsg>();
+            const auto& im = m->as<InterruptMsg>();
             note_heard(ft, self, m->source);
             if (im.round > st.round) st.pending_sync = im.round;
             continue;
@@ -516,7 +450,7 @@ sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, FtOutcomeM
           if (!is_alive(ft, self)) co_return FtStatus::kDead;
           if (!m) break;
           if (m->tag == ft_tag(g, kFtOffInterrupt)) {
-            const auto& im = m->as<FtInterruptMsg>();
+            const auto& im = m->as<InterruptMsg>();
             note_heard(ft, self, m->source);
             if (im.round > st.round) st.pending_sync = im.round;
             continue;
@@ -525,19 +459,15 @@ sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, FtOutcomeM
         }
         if (!has_absorbed(st, out.round, t.from)) ++attempt;
       }
+      if (has_absorbed(st, out.round, t.from)) iterations_shipped += t.count;
     }
-    if (ctx.trace != nullptr && move_began != me.engine().now()) {
-      ctx.trace->record(self, ActivityKind::kMove, move_began, me.engine().now());
-    }
+    record_shipment(ctx, self, move_began, iterations_shipped);
   }
 
-  st.active = out.active_after;
-  st.round = out.round + 1;  // skip-ahead: a straggler jumps to the latest round
-  st.window_start = me.engine().now();
-  st.done_in_window = 0;
+  // Skip-ahead: a straggler jumps to the latest round.
+  const bool still_active =
+      st.open_round(out.round + 1, std::move(out.active_after), self, me.engine().now());
   std::erase_if(st.absorbed, [&st](const auto& a) { return a.first < st.round - 2; });
-  const bool still_active = std::find(out.active_after.begin(), out.active_after.end(), self) !=
-                            out.active_after.end();
   co_return still_active ? FtStatus::kContinue : FtStatus::kInactive;
 }
 
@@ -553,7 +483,7 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
   const int round = ft.round[static_cast<std::size_t>(g)];
 
   std::vector<std::optional<ProfileSnapshot>> got(static_cast<std::size_t>(ctx.procs()));
-  got[static_cast<std::size_t>(self)] = ft_snapshot(ft, self, st);
+  got[static_cast<std::size_t>(self)] = make_snapshot(ctx, self, st);
 
   int attempt = 0;
   const auto missing_members = [&] {
@@ -579,7 +509,7 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
       if (!m) break;
       if (m->tag == ft_tag(g, kFtOffProfile)) {
-        const auto pm = m->as<FtProfileMsg>();
+        const auto pm = m->as<ProfileMsg>();
         note_heard(ft, self, pm.snapshot.proc);
         got[static_cast<std::size_t>(pm.snapshot.proc)] = pm.snapshot;
       } else if (m->tag == ft_tag(g, kFtOffInterrupt)) {
@@ -593,7 +523,7 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
     // Timeout: re-ping the missing.  They are alive by ground truth (death
     // erases a member from the active set synchronously), so the interrupt
     // reaches a live straggler — stuck in an old round or just slow.
-    FtInterruptMsg im{round, g, self};
+    InterruptMsg im{round, g};
     for (const int q : missing) {
       co_await me.send(q, ft_tag(g, kFtOffInterrupt), im, ctx.config.control_bytes,
                        /*droppable=*/false);
@@ -604,8 +534,8 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
     if (attempt > 6) attempt = 6;
   }
 
-  FtOutcomeMsg out = co_await ft_decide(ft, self, g, got, /*centralized_overhead=*/false,
-                                        /*initiator=*/-1);
+  OutcomeMsg out = co_await ft_decide(ft, self, g, got, /*centralized_overhead=*/false,
+                                      /*initiator=*/-1);
   if (!is_alive(ft, self)) co_return FtStatus::kDead;
 
   std::vector<int> others;
@@ -656,7 +586,7 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
     }
 
     const int coord = coordinator_of(ft, g);
-    FtProfileMsg pm{st.round, g, ft_snapshot(ft, self, st)};
+    ProfileMsg pm{st.round, g, make_snapshot(ctx, self, st)};
     const int profile_tag =
         ctx.centralized ? kFtCentralProfileBase + g : ft_tag(g, kFtOffProfile);
     co_await me.send(coord, profile_tag, pm, ctx.config.control_bytes,
@@ -670,7 +600,7 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
       if (!m) break;
       if (m->tag == ft_tag(g, kFtOffOutcome)) {
-        const auto& om = m->as<FtOutcomeMsg>();
+        const auto& om = m->as<OutcomeMsg>();
         note_heard(ft, self, m->source);
         if (om.round >= st.round) {
           co_return co_await ft_apply(ft, self, st, om);
@@ -678,7 +608,7 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
         continue;  // stale duplicate
       }
       if (m->tag == ft_tag(g, kFtOffInterrupt)) {
-        const auto& im = m->as<FtInterruptMsg>();
+        const auto& im = m->as<InterruptMsg>();
         note_heard(ft, self, m->source);
         if (im.round >= st.round) {
           resend_now = true;  // a re-ping: the coordinator is collecting
@@ -691,29 +621,6 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
     if (!resend_now) count_retry(ft, self);
     ++attempt;
     if (attempt > 6) attempt = 6;  // keep retrying: a live coordinator answers eventually
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Iteration execution.
-// ---------------------------------------------------------------------------
-
-sim::Task<void> ft_execute(FtState& ft, int self, std::int64_t index) {
-  auto& ctx = *ft.ctx;
-  auto& me = ctx.cluster->station(self);
-  co_await me.compute(ctx.loop->ops_of(index));
-  if (me.powered_off()) co_return;
-  if (ctx.loop->intrinsic_bytes_per_iteration > 0.0) {
-    const int neighbor = (self + 1) % ctx.procs();
-    if (neighbor != self) {
-      co_await me.send(neighbor, kTagIntrinsic, std::any{},
-                       static_cast<std::size_t>(ctx.loop->intrinsic_bytes_per_iteration));
-    }
-    int drained = 0;
-    while (me.poll(kTagIntrinsic)) ++drained;
-    if (drained > 0) {
-      co_await me.busy(drained * ctx.cluster->network().params().receiver_overhead);
-    }
   }
 }
 
@@ -777,16 +684,16 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
 
     if (join_sync || initiate) {
       const sim::SimTime sync_began = me.engine().now();
+      const int sync_round = st.round;
       if (initiate) {
-        FtInterruptMsg im{st.round, group, coordinator_of(ft, group)};
+        record_interrupt(ctx, self, sync_round);
+        InterruptMsg im{sync_round, group};
         co_await me.multicast(st.active, ft_tag(group, kFtOffInterrupt), im,
                               ctx.config.control_bytes);
         if (!is_alive(ft, self)) break;
       }
       const FtStatus status = co_await ft_participate(ft, self, st);
-      if (ctx.trace != nullptr && sync_began != me.engine().now()) {
-        ctx.trace->record(self, ActivityKind::kSync, sync_began, me.engine().now());
-      }
+      if (sync_began != me.engine().now()) record_sync(ctx, self, sync_began, sync_round);
       if (status == FtStatus::kDead) break;
       if (status == FtStatus::kLoopDone) break;
       if (status == FtStatus::kInactive) {
@@ -810,16 +717,13 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
     const std::int64_t index = mine.pop_front();
     ft.current_iter[static_cast<std::size_t>(self)] = index;
     const sim::SimTime began = me.engine().now();
-    co_await ft_execute(ft, self, index);
+    co_await iteration_body(ctx, self, index);
     if (!is_alive(ft, self)) break;  // died mid-iteration: the result is discarded
     ft.current_iter[static_cast<std::size_t>(self)] = -1;
     ft.coverage.record(index, self);
     ++ft.group_covered[static_cast<std::size_t>(group)];
-    ++ctx.executed[static_cast<std::size_t>(self)];
+    count_iteration(ctx, self, began);
     ++st.done_in_window;
-    if (ctx.trace != nullptr) {
-      ctx.trace->record(self, ActivityKind::kCompute, began, me.engine().now());
-    }
     ft.injector->on_progress(ft.loop_index, ft.coverage.covered(), ft.coverage.total());
     if (!is_alive(ft, self)) break;  // the progress fault may have hit us
   }
@@ -841,7 +745,7 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
                                            kFtCentralProfileBase + ngroups - 1);
     if (!is_alive(ft, station_id)) break;
     if (!first) continue;
-    const auto pm0 = first->as<FtProfileMsg>();
+    const auto pm0 = first->as<ProfileMsg>();
     const int g = pm0.group;
     note_heard(ft, station_id, pm0.snapshot.proc);
     if (ft.done[static_cast<std::size_t>(g)] != 0 ||
@@ -867,7 +771,7 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
       // Profiles of other groups queue behind this collection — the LCDLB
       // serialization delay, same as the fault-free balancer.
       while (auto q = me.poll_range(kFtCentralProfileBase + g, kFtCentralProfileBase + g)) {
-        const auto pm = q->as<FtProfileMsg>();
+        const auto pm = q->as<ProfileMsg>();
         note_heard(ft, station_id, pm.snapshot.proc);
         got[static_cast<std::size_t>(pm.snapshot.proc)] = pm.snapshot;
       }
@@ -888,14 +792,14 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
           break;
         }
         if (!m) break;
-        const auto pm = m->as<FtProfileMsg>();
+        const auto pm = m->as<ProfileMsg>();
         note_heard(ft, station_id, pm.snapshot.proc);
         if (!got[static_cast<std::size_t>(pm.snapshot.proc)]) heard = true;
         got[static_cast<std::size_t>(pm.snapshot.proc)] = pm.snapshot;
       }
       if (abandoned) break;
       if (heard) continue;  // progress: re-evaluate who is still missing
-      FtInterruptMsg im{ft.round[static_cast<std::size_t>(g)], g, station_id};
+      InterruptMsg im{ft.round[static_cast<std::size_t>(g)], g};
       for (const int q : missing) {
         co_await me.send(q, ft_tag(g, kFtOffInterrupt), im, ctx.config.control_bytes,
                          /*droppable=*/false);
@@ -906,9 +810,9 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
     }
     if (abandoned) break;
 
-    FtOutcomeMsg out = co_await ft_decide(ft, station_id, g, got,
-                                          /*centralized_overhead=*/true,
-                                          /*initiator=*/pm0.snapshot.proc);
+    OutcomeMsg out = co_await ft_decide(ft, station_id, g, got,
+                                        /*centralized_overhead=*/true,
+                                        /*initiator=*/pm0.snapshot.proc);
     if (!is_alive(ft, station_id)) break;
     std::vector<int> recipients;
     bool self_in_group = false;
@@ -994,15 +898,12 @@ sim::Process ft_recovery_slave(FtState& ft, FtState::Recovery& rec) {
     const std::int64_t index = rec.owned.pop_front();
     rec.current = index;
     const sim::SimTime began = me.engine().now();
-    co_await ft_execute(ft, rec.proc, index);
+    co_await iteration_body(ctx, rec.proc, index);
     if (rec.dead || !is_alive(ft, rec.proc)) break;
     rec.current = -1;
     ft.coverage.record(index, rec.proc);
     ++ft.group_covered[static_cast<std::size_t>(g)];
-    ++ctx.executed[static_cast<std::size_t>(rec.proc)];
-    if (ctx.trace != nullptr) {
-      ctx.trace->record(rec.proc, ActivityKind::kCompute, began, me.engine().now());
-    }
+    count_iteration(ctx, rec.proc, began);
     ft.injector->on_progress(ft.loop_index, ft.coverage.covered(), ft.coverage.total());
   }
   ctx.finished_at[static_cast<std::size_t>(rec.proc)] =
@@ -1018,6 +919,7 @@ void on_death(FtState& ft, int p) {
   auto& station = ctx.cluster->station(p);
   station.power_off();
   station.mailbox().cancel_waiters();
+  if (ctx.obs != nullptr) ctx.obs->instant(p, obs::InstantKind::kDeath, station.engine().now());
   if (ft.hb_sleep[static_cast<std::size_t>(p)]) ft.hb_sleep[static_cast<std::size_t>(p)]->cancel();
   if (ft.ctx->centralized && p == ft.balancer) {
     // Retire the incarnation now: its coroutine may be parked mid-send or
@@ -1195,7 +1097,9 @@ LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
   }
   if (ctx.centralized) ft.balancer = injector.first_alive();
 
-  injector.set_death_handler([&ft](int p) { on_death(ft, p); });
+  // The bookkeeping handler must not outlive the state it captures: the
+  // runtime's own handler comes back once the loop has drained.
+  auto runtime_handler = injector.set_death_handler([&ft](int p) { on_death(ft, p); });
 
   if (ft.groups_done < ngroups) {
     if (ctx.centralized) {
@@ -1214,12 +1118,7 @@ LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
     engine.run();
   }
 
-  // The handler must not outlive the state it captures; between loops a
-  // death still powers the station off and flushes its mailbox.
-  injector.set_death_handler([&cluster](int p) {
-    cluster.station(p).power_off();
-    cluster.station(p).mailbox().cancel_waiters();
-  });
+  injector.set_death_handler(std::move(runtime_handler));
 
   // The acceptance oracle: every iteration covered exactly once by a proc
   // whose results survived, nothing lost, nothing still in flight.
@@ -1231,26 +1130,16 @@ LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
     if (!pool.empty()) throw std::logic_error("run_ft_loop: unreclaimed lost work at loop end");
   }
 
-  LoopRunStats stats = std::move(ctx.stats);
-  stats.executed_per_proc = ctx.executed;
-  stats.finish_per_proc.reserve(ctx.finished_at.size());
-  for (const auto t : ctx.finished_at) stats.finish_per_proc.push_back(sim::to_seconds(t));
   // Makespan from the survivors' finish times, not engine.now(): draining a
   // dead station's last preempted compute segment advances the clock without
   // representing useful work.
-  double finish = stats.start_seconds;
+  double finish = ctx.stats.start_seconds;
   for (int p = 0; p < ctx.procs(); ++p) {
     if (injector.alive(p)) {
       finish = std::max(finish, sim::to_seconds(ctx.finished_at[static_cast<std::size_t>(p)]));
     }
   }
-  stats.finish_seconds = finish;
-  stats.syncs = static_cast<int>(stats.events.size());
-  for (const auto& e : stats.events) {
-    if (e.redistributed) ++stats.redistributions;
-    stats.iterations_moved += e.iterations_moved;
-  }
-  return stats;
+  return finish_loop(ctx, finish);
 }
 
 namespace {

@@ -7,6 +7,24 @@
 
 namespace dlb::core {
 
+double profile_rate(std::int64_t done, double elapsed_s, double last_rate, double prior) {
+  if (done > 0 && elapsed_s > 0.0) return static_cast<double>(done) / elapsed_s;
+  if (last_rate > 0.0) return last_rate;
+  return prior;
+}
+
+std::vector<int> remove_inactive(const std::vector<int>& active,
+                                 const std::vector<int>& newly_inactive) {
+  std::vector<int> out;
+  out.reserve(active.size());
+  for (const int p : active) {
+    if (std::find(newly_inactive.begin(), newly_inactive.end(), p) == newly_inactive.end()) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
 std::vector<std::int64_t> compute_distribution(std::span<const ProfileSnapshot> profiles) {
   if (profiles.empty()) throw std::invalid_argument("compute_distribution: no profiles");
 

@@ -18,6 +18,20 @@ struct ProfileSnapshot {
   bool active = true;
 };
 
+/// The profile metric of one slave at a synchronization point (§3.2):
+/// `done` iterations over `elapsed_s` seconds since the last sync point.  A
+/// window with nothing finished reuses `last_rate`; with no history at all
+/// (a processor that started with zero iterations) the caller's `prior`
+/// stands in — the simulator's bare-speed estimate, the emulator's
+/// 1/slowdown.
+[[nodiscard]] double profile_rate(std::int64_t done, double elapsed_s, double last_rate,
+                                  double prior);
+
+/// `active` minus the processors a decision sent idle, order preserved:
+/// the member set of the next round.
+[[nodiscard]] std::vector<int> remove_inactive(const std::vector<int>& active,
+                                               const std::vector<int>& newly_inactive);
+
 /// New distribution per Eq. 3: remaining work Gamma(j) split in proportion
 /// to each processor's measured rate (the run-time stand-in for S_i /
 /// mu_i(j)), rounded with the largest-remainder method so the assignment

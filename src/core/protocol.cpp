@@ -30,54 +30,6 @@ void sample_engine_health(LoopContext& ctx) {
 
 enum class SyncStatus { kContinue, kInactive, kLoopDone };
 
-/// Slave-local synchronization state, living in the slave coroutine frame.
-struct SlaveState {
-  int round = 0;
-  std::vector<int> active;  // active processors of my group, ascending
-  sim::SimTime window_start = 0;
-  std::int64_t done_in_window = 0;
-  double last_rate = 0.0;
-};
-
-ProfileSnapshot make_snapshot(LoopContext& ctx, int self, SlaveState& st) {
-  auto& me = ctx.cluster->station(self);
-  const double elapsed = sim::to_seconds(me.engine().now() - st.window_start);
-  double rate = 0.0;
-  if (st.done_in_window > 0 && elapsed > 0.0) {
-    // The paper's metric: iterations per second since the last sync point.
-    rate = static_cast<double>(st.done_in_window) / elapsed;
-  } else if (st.last_rate > 0.0) {
-    // Nothing finished this window; reuse the previous estimate.
-    rate = st.last_rate;
-  } else {
-    // No history at all (e.g. a processor that started with zero
-    // iterations): a dedicated-machine prior from the known bare speed.
-    const double mean_ops = std::max(ctx.loop->mean_ops(), 1.0);
-    rate = me.speed() * ctx.base_rate() / mean_ops;
-  }
-  st.last_rate = rate;
-  return ProfileSnapshot{self, ctx.owned[static_cast<std::size_t>(self)].size(), rate, true};
-}
-
-void record_event(LoopContext& ctx, int group, int round, int initiator, const Decision& d) {
-  SyncEvent e;
-  e.at_seconds = sim::to_seconds(ctx.cluster->engine().now());
-  e.round = round;
-  e.group = group;
-  e.initiator = initiator;
-  e.total_remaining = d.total_remaining;
-  e.iterations_moved = d.moved ? d.to_move : 0;
-  e.transfer_messages = static_cast<int>(d.transfers.size());
-  e.redistributed = d.moved;
-  if (ctx.sharded) {
-    // Sharded engine: stage per group (single writer per inner vector);
-    // Runtime merges canonically at loop end.
-    ctx.events_by_group[static_cast<std::size_t>(group)].push_back(e);
-    return;
-  }
-  ctx.stats.events.push_back(e);
-}
-
 /// Executes the round verdict on one slave: ship work out, collect work in,
 /// advance the round window.  Shared by the centralized (outcome message)
 /// and distributed (locally derived) paths.
@@ -111,61 +63,12 @@ sim::Task<SyncStatus> apply_plan(LoopContext& ctx, int self, SlaveState& st, boo
       for (const auto& range : m.as<WorkMsg>().ranges) mine.add(range);
       iterations_shipped += t.count;
     }
-    if (ctx.trace != nullptr && move_began != me.engine().now()) {
-      ctx.trace->record(self, ActivityKind::kMove, move_began, me.engine().now());
-    }
-    if (ctx.obs != nullptr && move_began != me.engine().now()) {
-      ctx.obs->phase(self, obs::PhaseKind::kShipment, move_began, me.engine().now(),
-                     iterations_shipped);
-      ctx.obs->metrics().counter("proto.iterations_shipped")
-          .add(static_cast<double>(iterations_shipped));
-    }
+    record_shipment(ctx, self, move_began, iterations_shipped);
   }
 
-  st.active = active_after;
-  ++st.round;
-  st.window_start = me.engine().now();
-  st.done_in_window = 0;
   const bool still_active =
-      std::find(active_after.begin(), active_after.end(), self) != active_after.end();
+      st.open_round(st.round + 1, std::move(active_after), self, me.engine().now());
   co_return still_active ? SyncStatus::kContinue : SyncStatus::kInactive;
-}
-
-/// Executes one iteration: the computation, the intrinsic communication to
-/// the ring neighbour (IC, §4.1), and the unpack cost of inbound intrinsic
-/// traffic that accumulated since the last gap.
-sim::Task<void> execute_iteration(LoopContext& ctx, int self, std::int64_t index) {
-  auto& me = ctx.cluster->station(self);
-  const sim::SimTime began = me.engine().now();
-  co_await me.compute(ctx.loop->ops_of(index));
-  if (ctx.loop->intrinsic_bytes_per_iteration > 0.0) {
-    const int neighbor = (self + 1) % ctx.procs();
-    if (neighbor != self) {
-      co_await me.send(neighbor, kTagIntrinsic, std::any{},
-                       static_cast<std::size_t>(ctx.loop->intrinsic_bytes_per_iteration));
-    }
-    int drained = 0;
-    while (me.poll(kTagIntrinsic)) ++drained;
-    if (drained > 0) {
-      co_await me.busy(drained * ctx.cluster->network().params().receiver_overhead);
-    }
-  }
-  ++ctx.executed[static_cast<std::size_t>(self)];
-  if (ctx.trace != nullptr) {
-    ctx.trace->record(self, ActivityKind::kCompute, began, me.engine().now());
-  }
-}
-
-std::vector<int> remove_inactive(const std::vector<int>& active,
-                                 const std::vector<int>& newly_inactive) {
-  std::vector<int> out;
-  out.reserve(active.size());
-  for (const int p : active) {
-    if (std::find(newly_inactive.begin(), newly_inactive.end(), p) == newly_inactive.end()) {
-      out.push_back(p);
-    }
-  }
-  return out;
 }
 
 /// Centralized sync: profile to the balancer, wait for the outcome (Fig. 1
@@ -236,6 +139,118 @@ sim::Task<SyncStatus> participate(LoopContext& ctx, int self, SlaveState& st) {
 
 }  // namespace
 
+bool SlaveState::open_round(int next, std::vector<int> members, int self, sim::SimTime now) {
+  round = next;
+  active = std::move(members);
+  window_start = now;
+  done_in_window = 0;
+  return std::find(active.begin(), active.end(), self) != active.end();
+}
+
+ProfileSnapshot make_snapshot(LoopContext& ctx, int self, SlaveState& st) {
+  auto& me = ctx.cluster->station(self);
+  st.last_rate = profile_rate(st.done_in_window, sim::to_seconds(me.engine().now() - st.window_start),
+                              st.last_rate, me.speed() * ctx.base_rate() / ctx.prior_ops);
+  return ProfileSnapshot{self, ctx.owned[static_cast<std::size_t>(self)].size(), st.last_rate,
+                         true};
+}
+
+void record_event(LoopContext& ctx, int group, int round, int initiator, const Decision& d) {
+  SyncEvent e;
+  e.at_seconds = sim::to_seconds(ctx.cluster->engine().now());
+  e.round = round;
+  e.group = group;
+  e.initiator = initiator;
+  e.total_remaining = d.total_remaining;
+  e.iterations_moved = d.moved ? d.to_move : 0;
+  e.transfer_messages = static_cast<int>(d.transfers.size());
+  e.redistributed = d.moved;
+  if (ctx.sharded) {
+    // Sharded engine: stage per group (single writer per inner vector);
+    // finish_loop merges canonically at loop end.
+    ctx.events_by_group[static_cast<std::size_t>(group)].push_back(e);
+    return;
+  }
+  ctx.stats.events.push_back(e);
+}
+
+sim::Task<void> iteration_body(LoopContext& ctx, int self, std::int64_t index) {
+  auto& me = ctx.cluster->station(self);
+  co_await me.compute(ctx.loop->ops_of(index));
+  if (me.powered_off()) co_return;
+  if (ctx.loop->intrinsic_bytes_per_iteration > 0.0) {
+    const int neighbor = (self + 1) % ctx.procs();
+    if (neighbor != self) {
+      co_await me.send(neighbor, kTagIntrinsic, std::any{},
+                       static_cast<std::size_t>(ctx.loop->intrinsic_bytes_per_iteration));
+    }
+    int drained = 0;
+    while (me.poll(kTagIntrinsic)) ++drained;
+    if (drained > 0) {
+      co_await me.busy(drained * ctx.cluster->network().params().receiver_overhead);
+    }
+  }
+}
+
+void count_iteration(LoopContext& ctx, int self, sim::SimTime began) {
+  ++ctx.executed[static_cast<std::size_t>(self)];
+  if (ctx.trace != nullptr) {
+    ctx.trace->record(self, ActivityKind::kCompute, began, ctx.cluster->engine().now());
+  }
+}
+
+void record_interrupt(LoopContext& ctx, int self, int round) {
+  if (ctx.obs == nullptr) return;
+  ctx.obs->instant(self, obs::InstantKind::kInterrupt, ctx.cluster->engine().now(), round);
+  ctx.obs->metrics().counter("proto.interrupts").increment();
+}
+
+void record_sync(LoopContext& ctx, int self, sim::SimTime began, int round) {
+  const sim::SimTime now = ctx.cluster->engine().now();
+  if (ctx.trace != nullptr) ctx.trace->record(self, ActivityKind::kSync, began, now);
+  if (ctx.obs != nullptr) ctx.obs->phase(self, obs::PhaseKind::kSync, began, now, round);
+}
+
+void record_shipment(LoopContext& ctx, int self, sim::SimTime began, std::int64_t iterations) {
+  const sim::SimTime now = ctx.cluster->engine().now();
+  if (began == now) return;
+  if (ctx.trace != nullptr) ctx.trace->record(self, ActivityKind::kMove, began, now);
+  if (ctx.obs != nullptr) {
+    ctx.obs->phase(self, obs::PhaseKind::kShipment, began, now, iterations);
+    ctx.obs->metrics().counter("proto.iterations_shipped").add(static_cast<double>(iterations));
+  }
+}
+
+LoopRunStats finish_loop(LoopContext& ctx, double finish_seconds) {
+  if (ctx.sharded) {
+    // Merge the per-group staged sync events into the canonical order:
+    // time, then group, then round.  The key is unique (a group records at
+    // most one event per round), so the result is independent of the shard
+    // count and of which worker ran which group.
+    auto& events = ctx.stats.events;
+    for (auto& staged : ctx.events_by_group) {
+      events.insert(events.end(), staged.begin(), staged.end());
+    }
+    std::stable_sort(events.begin(), events.end(), [](const SyncEvent& a, const SyncEvent& b) {
+      if (a.at_seconds != b.at_seconds) return a.at_seconds < b.at_seconds;
+      if (a.group != b.group) return a.group < b.group;
+      return a.round < b.round;
+    });
+  }
+
+  LoopRunStats stats = std::move(ctx.stats);
+  stats.finish_seconds = finish_seconds;
+  stats.executed_per_proc = ctx.executed;
+  stats.finish_per_proc.reserve(ctx.finished_at.size());
+  for (const auto t : ctx.finished_at) stats.finish_per_proc.push_back(sim::to_seconds(t));
+  stats.syncs = static_cast<int>(stats.events.size());
+  for (const auto& e : stats.events) {
+    if (e.redistributed) ++stats.redistributions;
+    stats.iterations_moved += e.iterations_moved;
+  }
+  return stats;
+}
+
 LoopContext LoopContext::make(const LoopDescriptor& loop, const DlbConfig& config,
                               cluster::Cluster& cluster) {
   loop.validate();
@@ -259,6 +274,7 @@ LoopContext LoopContext::make(const LoopDescriptor& loop, const DlbConfig& confi
   }
   ctx.executed.assign(static_cast<std::size_t>(procs), 0);
   ctx.finished_at.assign(static_cast<std::size_t>(procs), 0);
+  ctx.prior_ops = std::max(loop.mean_ops(), 1.0);
   ctx.sharded = cluster.engine().is_sharded();
   if (ctx.sharded) ctx.events_by_group.resize(ctx.groups.size());
   ctx.stats.loop_name = loop.name;
@@ -266,6 +282,13 @@ LoopContext LoopContext::make(const LoopDescriptor& loop, const DlbConfig& confi
   return ctx;
 }
 
+namespace {
+
+/// A DLB slave (the paper's transformed loop of Fig. 3): executes owned
+/// iterations one at a time, polls for interrupts between iterations,
+/// initiates a synchronization when its work runs out, and takes part in
+/// profile exchange and work movement.  One per processor, for every
+/// strategy except NoDLB.
 sim::Process dlb_slave(LoopContext& ctx, int self) {
   auto& me = ctx.cluster->station(self);
   auto& mine = ctx.owned[static_cast<std::size_t>(self)];
@@ -287,13 +310,7 @@ sim::Process dlb_slave(LoopContext& ctx, int self) {
           const int sync_round = st.round;
           sample_engine_health(ctx);
           status = co_await participate(ctx, self, st);
-          if (ctx.trace != nullptr) {
-            ctx.trace->record(self, ActivityKind::kSync, sync_began, me.engine().now());
-          }
-          if (ctx.obs != nullptr) {
-            ctx.obs->phase(self, obs::PhaseKind::kSync, sync_began, me.engine().now(),
-                           sync_round);
-          }
+          record_sync(ctx, self, sync_began, sync_round);
           synced = true;
           break;
         }
@@ -302,8 +319,9 @@ sim::Process dlb_slave(LoopContext& ctx, int self) {
         if (status != SyncStatus::kContinue) running = false;
         continue;
       }
-      const std::int64_t index = mine.pop_front();
-      co_await execute_iteration(ctx, self, index);
+      const sim::SimTime began = me.engine().now();
+      co_await iteration_body(ctx, self, mine.pop_front());
+      count_iteration(ctx, self, began);
       ++st.done_in_window;
     } else {
       // Out of work: become the initiator (first finisher, §3.1) — send the
@@ -314,25 +332,21 @@ sim::Process dlb_slave(LoopContext& ctx, int self) {
       im.group = ctx.group_of[static_cast<std::size_t>(self)];
       const sim::SimTime sync_began = me.engine().now();
       const int sync_round = st.round;
-      if (ctx.obs != nullptr) {
-        ctx.obs->instant(self, obs::InstantKind::kInterrupt, sync_began, sync_round);
-        ctx.obs->metrics().counter("proto.interrupts").increment();
-      }
+      record_interrupt(ctx, self, sync_round);
       sample_engine_health(ctx);
       co_await me.multicast(st.active, kTagInterrupt, im, ctx.config.control_bytes);
       const SyncStatus status = co_await participate(ctx, self, st);
-      if (ctx.trace != nullptr) {
-        ctx.trace->record(self, ActivityKind::kSync, sync_began, me.engine().now());
-      }
-      if (ctx.obs != nullptr) {
-        ctx.obs->phase(self, obs::PhaseKind::kSync, sync_began, me.engine().now(), sync_round);
-      }
+      record_sync(ctx, self, sync_began, sync_round);
       if (status != SyncStatus::kContinue) running = false;
     }
   }
   ctx.finished_at[static_cast<std::size_t>(self)] = me.engine().now();
 }
 
+/// The central load balancer (GCDLB / LCDLB): lives on `ctx.balancer_proc`,
+/// serves groups one at a time in profile-arrival order (the LCDLB delay
+/// factor emerges from this queueing), computes the new distribution, and
+/// broadcasts outcomes.  Exactly one per run for the centralized strategies.
 sim::Process central_balancer(LoopContext& ctx) {
   auto& me = ctx.cluster->station(ctx.balancer_proc);
   const auto ngroups = ctx.groups.size();
@@ -388,14 +402,54 @@ sim::Process central_balancer(LoopContext& ctx) {
   }
 }
 
+/// Static slave for the NoDLB baseline: executes its block, no communication.
 sim::Process static_slave(LoopContext& ctx, int self) {
   auto& me = ctx.cluster->station(self);
   auto& mine = ctx.owned[static_cast<std::size_t>(self)];
   while (!mine.empty()) {
-    const std::int64_t index = mine.pop_front();
-    co_await execute_iteration(ctx, self, index);
+    const sim::SimTime began = me.engine().now();
+    co_await iteration_body(ctx, self, mine.pop_front());
+    count_iteration(ctx, self, began);
   }
   ctx.finished_at[static_cast<std::size_t>(self)] = me.engine().now();
+}
+
+}  // namespace
+
+LoopRunStats run_plain_loop(const LoopDescriptor& loop, const DlbConfig& config,
+                            cluster::Cluster& cluster, Trace* trace, obs::Recorder* obs) {
+  LoopContext ctx = LoopContext::make(loop, config, cluster);
+  ctx.trace = trace;
+  ctx.obs = obs;
+  auto& engine = cluster.engine();
+
+  // Each spawn is wrapped in a ShardScope pinning the process (and its
+  // coroutine frames) to its station's shard; a no-op on unsharded engines.
+  if (config.strategy == Strategy::kNoDlb) {
+    for (int p = 0; p < cluster.size(); ++p) {
+      sim::Engine::ShardScope scope(engine, cluster.shard_of(p));
+      engine.spawn(static_slave(ctx, p));
+    }
+  } else {
+    if (ctx.centralized) {
+      sim::Engine::ShardScope scope(engine, cluster.shard_of(ctx.balancer_proc));
+      engine.spawn(central_balancer(ctx));
+    }
+    for (int p = 0; p < cluster.size(); ++p) {
+      sim::Engine::ShardScope scope(engine, cluster.shard_of(p));
+      engine.spawn(dlb_slave(ctx, p));
+    }
+  }
+  engine.run();
+
+  LoopRunStats stats = finish_loop(ctx, sim::to_seconds(engine.now()));
+  // Work conservation: every iteration executed exactly once.
+  std::int64_t executed_total = 0;
+  for (const auto n : stats.executed_per_proc) executed_total += n;
+  if (executed_total != loop.iterations) {
+    throw std::logic_error("DLB: iterations executed != iterations scheduled");
+  }
+  return stats;
 }
 
 sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase,

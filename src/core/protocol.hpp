@@ -11,6 +11,8 @@
 #include "core/types.hpp"
 #include "obs/recorder.hpp"
 #include "sim/process.hpp"
+#include "sim/task.hpp"
+#include "sim/time.hpp"
 
 namespace dlb::core {
 
@@ -55,8 +57,25 @@ struct WorkMsg {
   std::vector<IterRange> ranges;
 };
 
-/// Shared state of one load-balanced loop execution.  Owned by the Runtime;
-/// every protocol process holds a reference.  Single-threaded simulation
+/// Slave-local synchronization state, living in the slave coroutine frame:
+/// the round and member set the slave believes current, and the window the
+/// profile metric is measured over.  The FT slave extends it with its
+/// failure-handling fields.
+struct SlaveState {
+  int round = 0;
+  std::vector<int> active;  // active processors of my group, ascending
+  sim::SimTime window_start = 0;
+  std::int64_t done_in_window = 0;
+  double last_rate = 0.0;
+
+  /// Enters round `next` with `members` active and restarts the profile
+  /// window at `now`.  Returns whether `self` is still a member.
+  bool open_round(int next, std::vector<int> members, int self, sim::SimTime now);
+};
+
+/// Shared state of one load-balanced loop execution.  Owned by the loop
+/// runner (run_plain_loop, run_ft_loop); every protocol process holds a
+/// reference.  Single-threaded simulation
 /// makes plain member access safe.
 struct LoopContext {
   const LoopDescriptor* loop = nullptr;
@@ -72,6 +91,10 @@ struct LoopContext {
   std::vector<IterationSet> owned;
   std::vector<std::int64_t> executed;
   std::vector<sim::SimTime> finished_at;
+
+  /// Mean work of one iteration in ops, at least 1 — the denominator of
+  /// the no-history rate prior, computed once per loop.
+  double prior_ops = 1.0;
 
   LoopRunStats stats;
   /// True when the cluster's engine is sharded.  Sync events are then staged
@@ -98,21 +121,43 @@ struct LoopContext {
                           cluster::Cluster& cluster);
 };
 
-/// A DLB slave (the paper's transformed loop of Fig. 3): executes owned
-/// iterations one at a time, polls for interrupts between iterations,
-/// initiates a synchronization when its work runs out, and takes part in
-/// profile exchange and work movement.  One per processor, for every
-/// strategy except NoDLB.
-[[nodiscard]] sim::Process dlb_slave(LoopContext& ctx, int self);
+/// Profile of `self` for the round that `st` is closing: the iteration rate
+/// over the window (core::profile_rate, with a bare-speed prior) and the
+/// iterations it still owns.
+[[nodiscard]] ProfileSnapshot make_snapshot(LoopContext& ctx, int self, SlaveState& st);
 
-/// The central load balancer (GCDLB / LCDLB): lives on `ctx.balancer_proc`,
-/// serves groups one at a time in profile-arrival order (the LCDLB delay
-/// factor emerges from this queueing), computes the new distribution, and
-/// broadcasts outcomes.  Exactly one per run for the centralized strategies.
-[[nodiscard]] sim::Process central_balancer(LoopContext& ctx);
+/// Appends the statistics record of one decided round.
+void record_event(LoopContext& ctx, int group, int round, int initiator, const Decision& d);
 
-/// Static slave for the NoDLB baseline: executes its block, no communication.
-[[nodiscard]] sim::Process static_slave(LoopContext& ctx, int self);
+/// The body of one iteration: the computation, then — unless the station
+/// powered off meanwhile — the intrinsic communication to the ring
+/// neighbour (IC, §4.1) and the unpack cost of inbound intrinsic traffic
+/// that accumulated since the last gap.  Every slave runs it; the caller
+/// does its own bookkeeping and then calls count_iteration.
+[[nodiscard]] sim::Task<void> iteration_body(LoopContext& ctx, int self, std::int64_t index);
+
+/// Counts one executed iteration of `self` that began at `began`.
+void count_iteration(LoopContext& ctx, int self, sim::SimTime began);
+
+/// Recording hooks shared by the plain and FT slaves; each is a no-op for
+/// a null recorder.  A shipment that took no time is not recorded.
+void record_interrupt(LoopContext& ctx, int self, int round);
+void record_sync(LoopContext& ctx, int self, sim::SimTime began, int round);
+void record_shipment(LoopContext& ctx, int self, sim::SimTime began, std::int64_t iterations);
+
+/// Folds a finished loop's context into its statistics: per-processor
+/// executed counts and finish times, the sync-event tallies, and the
+/// canonical merge of per-group staged events on a sharded engine.
+/// `finish_seconds` is the loop's makespan end.
+[[nodiscard]] LoopRunStats finish_loop(LoopContext& ctx, double finish_seconds);
+
+/// Runs one loop fault-free under `config`: spawns the strategy's processes
+/// (each pinned to its station's shard), drains the engine and returns the
+/// loop statistics.  Serves both Runtime and StreamRuntime.  Throws
+/// std::logic_error unless every iteration executed exactly once.
+[[nodiscard]] LoopRunStats run_plain_loop(const LoopDescriptor& loop, const DlbConfig& config,
+                                          cluster::Cluster& cluster, Trace* trace = nullptr,
+                                          obs::Recorder* obs = nullptr);
 
 /// Sequential inter-loop phase (TRFD's transpose, §6.3): slaves gather their
 /// data to the master, the master computes, then scatters.

@@ -38,32 +38,7 @@ LoopRunStats StreamRuntime::run_loop(const LoopDescriptor& loop, Strategy strate
   DlbConfig config = base_config_;
   config.strategy = strategy;
 
-  LoopContext ctx = LoopContext::make(loop, config, cluster_);
-  auto& engine = cluster_.engine();
-  if (strategy == Strategy::kNoDlb) {
-    for (int p = 0; p < cluster_.size(); ++p) engine.spawn(static_slave(ctx, p));
-  } else {
-    if (ctx.centralized) engine.spawn(central_balancer(ctx));
-    for (int p = 0; p < cluster_.size(); ++p) engine.spawn(dlb_slave(ctx, p));
-  }
-  engine.run();
-
-  LoopRunStats stats = std::move(ctx.stats);
-  stats.finish_seconds = sim::to_seconds(engine.now());
-  stats.executed_per_proc = ctx.executed;
-  stats.finish_per_proc.reserve(ctx.finished_at.size());
-  for (const auto t : ctx.finished_at) stats.finish_per_proc.push_back(sim::to_seconds(t));
-  stats.syncs = static_cast<int>(stats.events.size());
-  for (const auto& e : stats.events) {
-    if (e.redistributed) ++stats.redistributions;
-    stats.iterations_moved += e.iterations_moved;
-  }
-
-  std::int64_t executed_total = 0;
-  for (const auto n : stats.executed_per_proc) executed_total += n;
-  if (executed_total != loop.iterations) {
-    throw std::logic_error("StreamRuntime: iterations executed != iterations scheduled");
-  }
+  LoopRunStats stats = run_plain_loop(loop, config, cluster_);
   ++loops_run_;
   return stats;
 }

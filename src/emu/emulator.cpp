@@ -80,19 +80,12 @@ void broadcast(Shared& shared, const WorkerState& st, int tag, const EmuMessage&
 }
 
 Outcome participate(Shared& shared, WorkerState& st) {
-  // Performance metric: iterations per (wall) second since the last sync.
-  const double window = seconds_since(st.window_start);
-  double rate;
-  if (st.done_in_window > 0 && window > 0.0) {
-    rate = static_cast<double>(st.done_in_window) / window;
-  } else if (st.last_rate > 0.0) {
-    rate = st.last_rate;
-  } else {
-    rate = 1.0 / std::max(shared.slowdown(st.self), 1e-9);
-  }
-  st.last_rate = rate;
+  // Performance metric: iterations per (wall) second since the last sync,
+  // with the emulated slowdown as the no-history prior.
+  st.last_rate = core::profile_rate(st.done_in_window, seconds_since(st.window_start),
+                                    st.last_rate, 1.0 / std::max(shared.slowdown(st.self), 1e-9));
 
-  core::ProfileSnapshot own{st.self, st.mine.size(), rate, true};
+  core::ProfileSnapshot own{st.self, st.mine.size(), st.last_rate, true};
   EmuMessage pm;
   pm.round = st.round;
   pm.snapshot = own;
@@ -142,14 +135,7 @@ Outcome participate(Shared& shared, WorkerState& st) {
     }
   }
 
-  std::vector<int> next_active;
-  for (const int p : st.active) {
-    if (std::find(decision.newly_inactive.begin(), decision.newly_inactive.end(), p) ==
-        decision.newly_inactive.end()) {
-      next_active.push_back(p);
-    }
-  }
-  st.active = std::move(next_active);
+  st.active = core::remove_inactive(st.active, decision.newly_inactive);
   ++st.round;
   st.window_start = Clock::now();
   st.done_in_window = 0;

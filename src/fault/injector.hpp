@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -61,8 +62,12 @@ class FaultInjector {
   /// may kill the calling proc itself — callers re-check `alive` afterwards.
   void on_progress(int loop_index, std::int64_t covered, std::int64_t total);
 
-  /// Reaction hooks, run synchronously inside the fault event.
-  void set_death_handler(std::function<void(int)> handler) { on_death_ = std::move(handler); }
+  /// Reaction hooks, run synchronously inside the fault event.  Installing a
+  /// death handler returns the one it replaces, so a scoped handler can hand
+  /// the post back.
+  std::function<void(int)> set_death_handler(std::function<void(int)> handler) {
+    return std::exchange(on_death_, std::move(handler));
+  }
   void set_rejoin_handler(std::function<void(int)> handler) { on_rejoin_ = std::move(handler); }
 
   /// Applies a fault now (also used directly by tests).

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -190,6 +192,50 @@ TEST(ExpDeterminism, SwitchedBytesIdenticalAcrossShardAndThreadCounts) {
             << "switched CSV diverged at " << shards << ", " << threads << " threads";
       }
     }
+  }
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(ExpDeterminism, Figure5CsvGoldensDisarmedAndUnderEveryFaultPreset) {
+  // Pins the bytes themselves, not just their independence from the thread
+  // count: the Fig. 5 grid at one seed, disarmed and under each fault
+  // preset, must hash to the committed FNV-1a digests.  A refactor of the
+  // protocol, the runtime or the fault layer that moves any virtual-time
+  // outcome — makespan, sync count, recovery count — fails here.
+  struct Golden {
+    const char* faults;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {"none", 0x67be8b47bdc7dca8ull},        {"crash-half", 0x58c625e996c6cb3dull},
+      {"crash-coord", 0xa403e2dae98f2383ull}, {"crash-two", 0xb562cf3cdb1ca77full},
+      {"revoke-half", 0x1e67bf5f1438b895ull}, {"loss10", 0x958c617e93aa742eull},
+      {"crash-loss", 0xd9e94e66386a8c3bull},
+  };
+  for (const Golden& golden : goldens) {
+    const std::string faults = std::string("--faults=") + golden.faults;
+    const char* argv[] = {"exp_determinism_test", "--figure=5", "--seeds=1", faults.c_str()};
+    const dlb::support::Cli cli(4, argv);
+    const auto grid = dlb::exp::parse_grid(cli);
+    RunnerOptions options;
+    options.threads = 2;
+    const auto sweep = Runner(options).run(grid);
+    ReportOptions report;
+    report.include_faults = grid.config.faults.armed();
+    std::ostringstream os;
+    dlb::exp::write_csv(os, sweep, report);
+    char hex[19];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(fnv1a(os.str())));
+    EXPECT_EQ(fnv1a(os.str()), golden.digest) << golden.faults << ": fig5 CSV digest " << hex;
   }
 }
 

@@ -16,6 +16,7 @@
 #include "core/runtime.hpp"
 #include "core/types.hpp"
 #include "fault/plan.hpp"
+#include "obs/recorder.hpp"
 
 namespace {
 
@@ -43,6 +44,12 @@ DlbConfig config_for(Strategy s, FaultPlan plan) {
   c.strategy = s;
   c.faults = std::move(plan);
   return c;
+}
+
+std::int64_t count_instants(const RunResult& r, dlb::obs::InstantKind kind) {
+  std::int64_t n = 0;
+  for (const auto& i : r.obs->instants()) n += i.kind == kind ? 1 : 0;
+  return n;
 }
 
 std::int64_t executed_total(const RunResult& r) {
@@ -73,6 +80,40 @@ TEST_P(FaultMatrix, CrashHalfTerminatesWithRecovery) {
   // survivors, so total executed work is at least the loop's iteration count.
   EXPECT_GE(executed_total(r), 64);
   EXPECT_GT(r.exec_seconds, 0.0);
+}
+
+TEST_P(FaultMatrix, ObservedCrashRecordsOneDeathPerCrash) {
+  const auto app = make_uniform(64, 25e3, 8.0);
+  for (const char* preset : {"crash-half", "crash-two"}) {
+    auto config = config_for(GetParam(), FaultPlan::preset(preset));
+    config.observe = true;
+    const auto r = run_app(base_params(8), app, config);
+    ASSERT_NE(r.obs, nullptr);
+    EXPECT_GE(r.faults.crashes, 1) << preset;
+    EXPECT_EQ(count_instants(r, dlb::obs::InstantKind::kDeath), r.faults.crashes) << preset;
+  }
+}
+
+TEST_P(FaultMatrix, ObservedFaultRunRecordsSyncPhasesAndInterrupts) {
+  // The FT slave reports the same phase breakdown as the fault-free one:
+  // every sync round it takes part in, its interrupts and its shipments.
+  const auto app = make_uniform(64, 25e3, 8.0);
+  auto config = config_for(GetParam(), FaultPlan::preset("crash-half"));
+  config.observe = true;
+  const auto r = run_app(base_params(4), app, config);
+  ASSERT_NE(r.obs, nullptr);
+  EXPECT_GT(r.metrics.value_of("proto.sync_seconds.count"), 0.0);
+  EXPECT_GT(r.metrics.value_of("proto.interrupts"), 0.0);
+  EXPECT_EQ(count_instants(r, dlb::obs::InstantKind::kInterrupt),
+            static_cast<std::int64_t>(r.metrics.value_of("proto.interrupts")));
+  std::int64_t shipments = 0;
+  for (const auto& phase : r.obs->phases()) {
+    if (phase.kind == dlb::obs::PhaseKind::kShipment) ++shipments;
+  }
+  EXPECT_EQ(static_cast<double>(shipments), r.metrics.value_of("proto.shipment_seconds.count"));
+  if (r.total_iterations_moved() > 0) {
+    EXPECT_GT(shipments, 0);
+  }
 }
 
 TEST_P(FaultMatrix, RevocationRejoinsAtLoopBoundary) {
@@ -141,6 +182,37 @@ TEST(FaultProtocol, TrfdPhasesSurviveACrash) {
   EXPECT_EQ(r.faults.crashes, 1);
   EXPECT_EQ(r.loops.size(), 2u);
   EXPECT_GT(r.loops[1].finish_seconds, r.loops[0].finish_seconds);
+}
+
+TEST(FaultProtocol, DeathBetweenLoopsIsRecorded) {
+  // A timed crash that lands in TRFD's sequential phase fires outside any
+  // FT loop, so the runtime's own death handler must be back in place.  A
+  // progress trigger on a loop that never runs arms the plan without
+  // firing; it pins the fault-free timeline the crash time is taken from.
+  const auto app = make_trfd({20});
+  FaultPlan idle;
+  idle.events.push_back({FaultKind::kCrash, -1, {-1.0, 1.0, 9}, 0.0});
+  auto config = config_for(Strategy::kGDDLB, idle);
+  config.observe = true;
+  const auto timeline = run_app(base_params(4), app, config);
+  ASSERT_EQ(timeline.loops.size(), 2u);
+  ASSERT_EQ(timeline.faults.crashes, 0);
+  const double phase_mid =
+      0.5 * (timeline.loops[0].finish_seconds + timeline.loops[1].start_seconds);
+  ASSERT_LT(timeline.loops[0].finish_seconds, phase_mid);
+
+  FaultPlan plan = idle;
+  plan.events.push_back({FaultKind::kCrash, 3, {phase_mid, -1.0, 0}, 0.0});
+  config.faults = plan;
+  const auto r = run_app(base_params(4), app, config);
+  EXPECT_EQ(r.faults.crashes, 1);
+  ASSERT_EQ(count_instants(r, dlb::obs::InstantKind::kDeath), 1);
+  for (const auto& i : r.obs->instants()) {
+    if (i.kind == dlb::obs::InstantKind::kDeath) {
+      EXPECT_EQ(i.proc, 3);
+    }
+  }
+  EXPECT_EQ(r.loops[1].executed_per_proc[3], 0);
 }
 
 TEST(FaultProtocol, ReplayIsBitIdentical) {

@@ -204,11 +204,8 @@ bool body_touches_ingress(const FileUnit& unit, const FunctionDef& def,
 }
 
 std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  h ^= 0xff;
+  h = hash_bytes(s, h);
+  h ^= 0xff;  // terminator: {"ab","c"} and {"a","bc"} must not collide
   h *= 1099511628211ULL;
   return h;
 }
@@ -346,8 +343,8 @@ SymbolIndex build_index(const std::vector<FileUnit>& units) {
   return index;
 }
 
-std::uint64_t hash_bytes(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
+std::uint64_t hash_bytes(const std::string& bytes, std::uint64_t seed) {
+  std::uint64_t h = seed;
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;

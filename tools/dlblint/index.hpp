@@ -68,17 +68,18 @@ struct SymbolIndex {
   /// rule to spot draws hidden behind helpers in conditional expressions.
   std::set<std::string> draw_reaching;
 
-  /// Stable digest of everything above plus the registered rule set; the
-  /// incremental cache keys on it so any cross-file fact change invalidates
-  /// cached per-file results.
+  /// Stable digest of everything above plus the registered rule set: any
+  /// cross-file fact change moves it.
   std::uint64_t digest = 0;
 };
 
 /// Pass 1: builds the project-wide index over all units.
 [[nodiscard]] SymbolIndex build_index(const std::vector<FileUnit>& units);
 
-/// FNV-1a over raw bytes; the incremental cache's per-file content key.
-[[nodiscard]] std::uint64_t hash_bytes(const std::string& bytes);
+/// FNV-1a over raw bytes, continuing from `seed` (the FNV offset basis by
+/// default); the building block of the index digest.
+[[nodiscard]] std::uint64_t hash_bytes(const std::string& bytes,
+                                       std::uint64_t seed = 1469598103934665603ULL);
 
 /// Innermost function definition in `file` whose body contains significant
 /// token index `sig_idx`, or nullptr.
