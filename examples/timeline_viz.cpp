@@ -11,6 +11,7 @@
 #include "apps/mxm.hpp"
 #include "cluster/cluster.hpp"
 #include "core/runtime.hpp"
+#include "core/trace.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 
@@ -54,9 +55,10 @@ int main(int argc, char** argv) {
               << ", exec " << support::fmt_fixed(result.exec_seconds, 2) << " s, "
               << result.total_syncs() << " syncs, " << result.total_iterations_moved()
               << " iterations moved ===\n\n";
-    result.trace->render_gantt(std::cout, procs, width);
+    const core::Trace trace(*result.obs);
+    trace.render_gantt(std::cout, procs, width);
 
-    const auto util = result.trace->utilization(procs);
+    const auto util = trace.utilization(procs);
     std::cout << "compute utilization:";
     for (int p = 0; p < procs; ++p) {
       std::cout << "  P" << p << " " << support::fmt_fixed(util[static_cast<std::size_t>(p)] * 100, 0)

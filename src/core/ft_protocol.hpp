@@ -5,7 +5,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/run_stats.hpp"
-#include "core/trace.hpp"
+#include "obs/recorder.hpp"
 #include "core/types.hpp"
 #include "fault/coverage.hpp"
 #include "fault/injector.hpp"
@@ -43,8 +43,7 @@ inline constexpr int kFtCentralProfileBase = 4000;
 /// convenience.
 [[nodiscard]] LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
                                        cluster::Cluster& cluster, fault::FaultInjector& injector,
-                                       int loop_index, Trace* trace,
-                                       obs::Recorder* obs = nullptr);
+                                       int loop_index, obs::Recorder* obs = nullptr);
 
 /// Fault-tolerant sequential phase: gather/scatter with timeouts and
 /// ground-truth liveness checks.  The master is the lowest surviving rank at

@@ -3,53 +3,27 @@
 #include <algorithm>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 namespace dlb::core {
 
-char activity_glyph(ActivityKind k) noexcept {
-  switch (k) {
-    case ActivityKind::kCompute:
-      return '#';
-    case ActivityKind::kSync:
-      return 's';
-    case ActivityKind::kMove:
-      return 'm';
-    case ActivityKind::kRecover:
-      return 'r';
-  }
-  return '?';
+namespace {
+
+bool is_compute(const obs::ActivitySpan& s) { return std::string_view(s.name) == "compute"; }
+
+char glyph_of(const obs::ActivitySpan& s) {
+  const std::string_view name(s.name);
+  if (name == "sync") return 's';
+  if (name == "move") return 'm';
+  if (name == "recover") return 'r';
+  return '#';
 }
 
-const char* activity_name(ActivityKind k) noexcept {
-  switch (k) {
-    case ActivityKind::kCompute:
-      return "compute";
-    case ActivityKind::kSync:
-      return "sync";
-    case ActivityKind::kMove:
-      return "move";
-    case ActivityKind::kRecover:
-      return "recover";
-  }
-  return "?";
-}
+}  // namespace
 
-std::vector<obs::ActivitySpan> to_activity_spans(const Trace* trace) {
-  std::vector<obs::ActivitySpan> spans;
-  if (trace == nullptr) return spans;
-  spans.reserve(trace->segments().size());
-  for (const ActivitySegment& s : trace->segments()) {
-    spans.push_back({s.proc, activity_name(s.kind), s.begin, s.end});
-  }
-  return spans;
-}
-
-void Trace::record(int proc, ActivityKind kind, sim::SimTime begin, sim::SimTime end) {
-  if (proc < 0) throw std::invalid_argument("Trace: negative proc");
-  if (end < begin) throw std::invalid_argument("Trace: reversed segment");
-  if (end == begin) return;
-  segments_.push_back({proc, kind, begin, end});
-  span_end_ = std::max(span_end_, end);
+Trace::Trace(const obs::Recorder& recorder) : spans_(obs::activity_spans(recorder)) {
+  for (const auto& s : spans_) span_end_ = std::max(span_end_, s.end);
 }
 
 std::vector<double> Trace::busy_seconds(int procs) const {
@@ -57,7 +31,7 @@ std::vector<double> Trace::busy_seconds(int procs) const {
   // vector and a bad_alloc — instead of being diagnosed.
   if (procs < 0) throw std::invalid_argument("Trace: negative procs");
   std::vector<double> out(static_cast<std::size_t>(procs), 0.0);
-  for (const auto& s : segments_) {
+  for (const auto& s : spans_) {
     if (s.proc < procs) out[static_cast<std::size_t>(s.proc)] += sim::to_seconds(s.end - s.begin);
   }
   return out;
@@ -66,8 +40,8 @@ std::vector<double> Trace::busy_seconds(int procs) const {
 std::vector<double> Trace::compute_seconds(int procs) const {
   if (procs < 0) throw std::invalid_argument("Trace: negative procs");
   std::vector<double> out(static_cast<std::size_t>(procs), 0.0);
-  for (const auto& s : segments_) {
-    if (s.kind == ActivityKind::kCompute && s.proc < procs) {
+  for (const auto& s : spans_) {
+    if (is_compute(s) && s.proc < procs) {
       out[static_cast<std::size_t>(s.proc)] += sim::to_seconds(s.end - s.begin);
     }
   }
@@ -99,9 +73,9 @@ void Trace::render_gantt(std::ostream& os, int procs, int width) const {
   label_digits = std::max(label_digits, 2);
   for (int p = 0; p < procs; ++p) {
     std::string row(static_cast<std::size_t>(width), '.');
-    for (const auto& s : segments_) {
+    for (const auto& s : spans_) {
       if (s.proc != p) continue;
-      const auto glyph = activity_glyph(s.kind);
+      const auto glyph = glyph_of(s);
       auto col0 = static_cast<std::int64_t>(s.begin * width / span_end_);
       auto col1 = static_cast<std::int64_t>((s.end - 1) * width / span_end_);
       col0 = std::clamp<std::int64_t>(col0, 0, width - 1);

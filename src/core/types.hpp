@@ -123,7 +123,8 @@ struct DlbConfig {
   double balancer_overhead_ops = 10e3;
   /// Wire size of profile/interrupt/instruction messages.
   std::size_t control_bytes = net::kControlMessageBytes;
-  /// Record per-processor activity segments (RunResult::trace).
+  /// Build the run's recorder (RunResult::obs) with per-iteration compute
+  /// slices, the input of core::Trace and the Chrome trace activity tracks.
   bool record_trace = false;
   /// Arm the observability layer: protocol phase spans, per-frame network
   /// records, instant marks and the metrics registry (RunResult::obs /

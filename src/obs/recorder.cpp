@@ -1,6 +1,7 @@
 #include "obs/recorder.hpp"
 
 #include <array>
+#include <stdexcept>
 #include <string>
 
 namespace dlb::obs {
@@ -12,6 +13,25 @@ namespace {
 constexpr std::array<double, 6> kMsgSizeBounds{64, 256, 1024, 4096, 16384, 65536};
 // Virtual seconds a protocol phase may plausibly span.
 constexpr std::array<double, 6> kPhaseSecondsBounds{0.001, 0.01, 0.1, 1.0, 10.0, 100.0};
+
+void check_span(int proc, sim::SimTime begin, sim::SimTime end) {
+  if (proc < 0) throw std::invalid_argument("Recorder: negative proc");
+  if (end < begin) throw std::invalid_argument("Recorder: reversed span");
+}
+
+/// Activity label of a phase, or null for phases no activity view shows.
+const char* activity_label(PhaseKind k) noexcept {
+  switch (k) {
+    case PhaseKind::kSync:
+      return "sync";
+    case PhaseKind::kShipment:
+      return "move";
+    case PhaseKind::kRecovery:
+      return "recover";
+    default:
+      return nullptr;
+  }
+}
 
 }  // namespace
 
@@ -51,7 +71,7 @@ const char* instant_name(InstantKind k) noexcept {
   return "?";
 }
 
-Recorder::Recorder() {
+Recorder::Recorder(bool compute_slices) : slices_armed_(compute_slices) {
   msg_count_ = &metrics_.counter("net.messages");
   msg_bytes_ = &metrics_.counter("net.bytes");
   msg_dropped_ = &metrics_.counter("net.dropped");
@@ -65,8 +85,15 @@ Recorder::Recorder() {
 
 void Recorder::phase(int proc, PhaseKind kind, sim::SimTime begin, sim::SimTime end,
                      std::int64_t detail) {
+  check_span(proc, begin, end);
   phases_.push_back({proc, kind, begin, end, detail});
   phase_seconds_[static_cast<int>(kind)]->observe(sim::to_seconds(end - begin));
+}
+
+void Recorder::compute_slice(int proc, sim::SimTime begin, sim::SimTime end) {
+  if (!slices_armed_) return;
+  check_span(proc, begin, end);
+  compute_slices_.push_back({proc, begin, end});
 }
 
 void Recorder::instant(int proc, InstantKind kind, sim::SimTime at, std::int64_t detail) {
@@ -84,6 +111,18 @@ void Recorder::message(int src, int dst, int tag, std::size_t bytes, sim::SimTim
 
 void Recorder::sample(const char* series, sim::SimTime at, double value) {
   samples_.push_back({series, at, value});
+}
+
+std::vector<ActivitySpan> activity_spans(const Recorder& recorder) {
+  std::vector<ActivitySpan> spans;
+  for (const auto& c : recorder.compute_slices()) {
+    if (c.end != c.begin) spans.push_back({c.proc, "compute", c.begin, c.end});
+  }
+  for (const auto& p : recorder.phases()) {
+    const char* name = activity_label(p.kind);
+    if (name != nullptr && p.end != p.begin) spans.push_back({p.proc, name, p.begin, p.end});
+  }
+  return spans;
 }
 
 }  // namespace dlb::obs

@@ -71,11 +71,20 @@ struct SampleEvent {
   double value = 0.0;
 };
 
-/// Deterministic per-run observability recorder: protocol phase spans,
-/// point events, per-frame message records, counter samples, and a metrics
+/// One executed loop iteration on a workstation.
+struct ComputeSlice {
+  int proc = 0;
+  sim::SimTime begin = 0;
+  sim::SimTime end = 0;
+};
+
+/// Deterministic per-run observability recorder — the one record of a run:
+/// protocol phase spans, per-iteration compute slices (when armed), point
+/// events, per-frame message records, counter samples, and a metrics
 /// registry — everything stamped with virtual time, appended in engine
 /// event order, so a recording replays byte-identically at any host thread
-/// count.
+/// count.  Activity views (Chrome trace tracks, Gantt charts) are
+/// projections of it; see activity_spans.
 ///
 /// Arming discipline (same bar as the fault layer): every instrumentation
 /// site holds a `Recorder*` that is null when observability is off, so the
@@ -84,18 +93,28 @@ struct SampleEvent {
 /// virtual time, only host time.
 class Recorder {
  public:
-  Recorder();
+  /// `compute_slices` arms compute_slice(): one slice per executed iteration is
+  /// the bulk of a recording, so only the activity views ask for it.
+  explicit Recorder(bool compute_slices = false);
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
+  /// Throws std::invalid_argument for a negative proc or end < begin.
   void phase(int proc, PhaseKind kind, sim::SimTime begin, sim::SimTime end,
              std::int64_t detail = 0);
+  /// Records one iteration's compute slice; a no-op unless armed at
+  /// construction.  Slices feed no metric, so arming them leaves
+  /// metrics() unchanged.  Same rejections as phase().
+  void compute_slice(int proc, sim::SimTime begin, sim::SimTime end);
   void instant(int proc, InstantKind kind, sim::SimTime at, std::int64_t detail = 0);
   void message(int src, int dst, int tag, std::size_t bytes, sim::SimTime sent,
                sim::SimTime delivered, bool dropped);
   void sample(const char* series, sim::SimTime at, double value);
 
   [[nodiscard]] const std::vector<PhaseEvent>& phases() const noexcept { return phases_; }
+  [[nodiscard]] const std::vector<ComputeSlice>& compute_slices() const noexcept {
+    return compute_slices_;
+  }
   [[nodiscard]] const std::vector<InstantEvent>& instants() const noexcept { return instants_; }
   [[nodiscard]] const std::vector<MessageEvent>& messages() const noexcept { return messages_; }
   [[nodiscard]] const std::vector<SampleEvent>& samples() const noexcept { return samples_; }
@@ -104,7 +123,9 @@ class Recorder {
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
  private:
+  bool slices_armed_ = false;
   std::vector<PhaseEvent> phases_;
+  std::vector<ComputeSlice> compute_slices_;
   std::vector<InstantEvent> instants_;
   std::vector<MessageEvent> messages_;
   std::vector<SampleEvent> samples_;
@@ -117,5 +138,18 @@ class Recorder {
   Histogram* msg_size_hist_ = nullptr;
   Histogram* phase_seconds_[kPhaseKindCount] = {};
 };
+
+/// One labelled activity span on a workstation track.
+struct ActivitySpan {
+  int proc = 0;
+  const char* name = "";  // "compute" | "sync" | "move" | "recover"
+  sim::SimTime begin = 0;
+  sim::SimTime end = 0;
+};
+
+/// What each workstation was doing, projected from a recording: its compute
+/// slices, then its sync, shipment and recovery phases as "sync", "move"
+/// and "recover".  Zero-length spans are left out; gaps are idle time.
+[[nodiscard]] std::vector<ActivitySpan> activity_spans(const Recorder& recorder);
 
 }  // namespace dlb::obs
