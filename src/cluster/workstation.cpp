@@ -27,11 +27,75 @@ double Workstation::effective_rate_at(sim::SimTime t) {
   return base_ops_per_sec_ * speed_ / load_.slowdown_at(t);
 }
 
+/// The state of one compute() call, kept in its coroutine frame: other
+/// coroutines (a collocated balancer under LCDLB) compute on the same CPU
+/// between this call's quanta.  Awaiting it starts a quantum at now; each
+/// slice boundary the work then crosses is a tick that redoes the slice
+/// arithmetic and arms the next tick, and the awaiting coroutine resumes
+/// only at a boundary it must act on.  The arithmetic, and the (at, seq) of
+/// every boundary, are those of sleeping to each boundary in turn.
+struct Workstation::SliceRun {
+  Workstation& ws;
+  double remaining;
+  sim::SimTime quantum_end = 0;
+  std::coroutine_handle<> waiter;
+
+  bool await_ready() {
+    quantum_end = ws.cpu_quantum_ > 0 ? ws.engine_.now() + ws.cpu_quantum_ : sim::kTimeInfinity;
+    return !slice();
+  }
+  void await_suspend(std::coroutine_handle<> h) noexcept { waiter = h; }
+  void await_resume() const noexcept {}
+
+  /// Runs the work from now to the next boundary.  Returns true when that
+  /// boundary is armed as a tick; false when the work finished at now.
+  bool slice() noexcept {
+    const sim::SimTime now = ws.engine_.now();
+    if (now >= ws.segment_.end) {
+      ws.segment_ = ws.load_.segment_at(now);
+      ws.segment_rate_ = ws.base_ops_per_sec_ * ws.speed_ / (1.0 + ws.segment_.level);
+    }
+    const double rate = ws.segment_rate_;
+    const sim::SimTime finish_at = now + sim::from_seconds(remaining / rate);
+    const sim::SimTime stop_at = std::min({finish_at, ws.segment_.end, quantum_end});
+    if (stop_at >= finish_at) {
+      remaining = 0.0;
+      if (finish_at <= now) return false;
+      ws.engine_.schedule_tick(finish_at, &Workstation::slice_tick, this);
+      return true;
+    }
+    remaining -= rate * sim::to_seconds(stop_at - now);
+    ws.engine_.schedule_tick(stop_at, &Workstation::slice_tick, this);
+    return true;
+  }
+};
+
+void Workstation::slice_tick(void* ctx) noexcept {
+  auto& run = *static_cast<SliceRun*>(ctx);
+  Workstation& ws = run.ws;
+  if (ws.off_ || !(run.remaining > 0.0)) {
+    run.waiter.resume();
+    return;
+  }
+  const sim::SimTime now = ws.engine_.now();
+  if (now >= run.quantum_end) {
+    // Quantum end: yield the CPU through its FIFO queue.  With nobody
+    // waiting, release + acquire would hand it straight back, so the next
+    // quantum starts here without resuming the coroutine.
+    if (ws.cpu_.waiting() > 0) {
+      run.waiter.resume();
+      return;
+    }
+    run.quantum_end = now + ws.cpu_quantum_;
+  }
+  if (!run.slice()) run.waiter.resume();
+}
+
 sim::Task<void> Workstation::compute(double ops) {
   if (ops < 0.0) throw std::invalid_argument("Workstation: negative work");
   if (ops == 0.0) co_return;
-  double remaining = ops;
-  while (remaining > 0.0) {
+  SliceRun run{*this, ops, 0, {}};
+  do {
     // Hold the CPU for at most one scheduling quantum, then yield through
     // the FIFO queue: a waiting coroutine (e.g. the centralized balancer)
     // gets in, approximating Unix round-robin timesharing.
@@ -40,30 +104,13 @@ sim::Task<void> Workstation::compute(double ops) {
       cpu_.release();
       co_return;
     }
-    const sim::SimTime quantum_end =
-        cpu_quantum_ > 0 ? engine_.now() + cpu_quantum_ : sim::kTimeInfinity;
-    while (remaining > 0.0 && engine_.now() < quantum_end) {
-      const auto segment = load_.segment_at(engine_.now());
-      const double rate = base_ops_per_sec_ * speed_ / (1.0 + segment.level);
-      const sim::SimTime finish_at = engine_.now() + sim::from_seconds(remaining / rate);
-      const sim::SimTime stop_at = std::min({finish_at, segment.end, quantum_end});
-      if (stop_at >= finish_at) {
-        busy_time_ += finish_at - engine_.now();
-        co_await engine_.sleep_until(finish_at);
-        remaining = 0.0;
-      } else {
-        const double done = rate * sim::to_seconds(stop_at - engine_.now());
-        remaining -= done;
-        busy_time_ += stop_at - engine_.now();
-        co_await engine_.sleep_until(stop_at);
-      }
-      if (off_) {
-        cpu_.release();
-        co_return;
-      }
+    co_await run;
+    if (off_) {
+      cpu_.release();
+      co_return;
     }
     cpu_.release();
-  }
+  } while (run.remaining > 0.0);
   ops_executed_ += ops;
 }
 
@@ -74,7 +121,6 @@ sim::Task<void> Workstation::busy(sim::SimTime duration) {
     cpu_.release();
     co_return;
   }
-  busy_time_ += duration;
   co_await engine_.sleep_for(duration);
   cpu_.release();
 }

@@ -38,10 +38,18 @@ class Workstation {
   [[nodiscard]] double speed() const noexcept { return speed_; }
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
   [[nodiscard]] sim::Mailbox& mailbox() noexcept { return mailbox_; }
-  [[nodiscard]] load::LoadFunction& load_function() noexcept { return load_; }
+  /// Mutable access drops the cached load segment compute() reads.
+  [[nodiscard]] load::LoadFunction& load_function() noexcept {
+    segment_ = {};
+    return load_;
+  }
 
   /// Executes `ops` basic operations, advancing virtual time through however
-  /// many external-load segments the work spans.
+  /// many external-load segments the work spans.  The CPU is held for at
+  /// most one quantum at a time; each slice boundary (quantum end, load
+  /// segment end, finish) is an engine tick, and the coroutine resumes only
+  /// where a boundary is observable: power-off, finish, or a quantum end
+  /// with another coroutine waiting for the CPU.
   [[nodiscard]] sim::Task<void> compute(double ops);
 
   /// Occupies the CPU for a fixed duration (kernel-side work such as message
@@ -90,14 +98,15 @@ class Workstation {
 
   /// Total operations this station has executed.
   [[nodiscard]] double ops_executed() const noexcept { return ops_executed_; }
-  /// Total virtual time this station has spent computing.
-  [[nodiscard]] sim::SimTime busy_time() const noexcept { return busy_time_; }
 
   /// The station's CPU (exclusive, FIFO).  Exposed for protocols that model
   /// extra on-node work (e.g. the balancer's distribution calculation).
   [[nodiscard]] sim::Resource& cpu() noexcept { return cpu_; }
 
  private:
+  struct SliceRun;
+  static void slice_tick(void* run) noexcept;
+
   int id_;
   double speed_;
   double base_ops_per_sec_;
@@ -108,8 +117,11 @@ class Workstation {
   sim::Resource cpu_;
   sim::SimTime cpu_quantum_;
   double ops_executed_ = 0.0;
-  sim::SimTime busy_time_ = 0;
   bool off_ = false;
+  // The load segment compute() last read (levels never change once drawn)
+  // and its effective rate; `segment_.end == 0` forces a refresh.
+  load::LoadFunction::Segment segment_{};
+  double segment_rate_ = 0.0;
 };
 
 }  // namespace dlb::cluster

@@ -124,6 +124,12 @@ void Engine::sharded_schedule_resume(SimTime at, std::coroutine_handle<> h) noex
                reinterpret_cast<std::uintptr_t>(h.address()), false});
 }
 
+void Engine::sharded_schedule_tick(SimTime at, TickFn fn, void* ctx) noexcept {
+  Shard& s = ctx_shard();
+  s.ticks.push(Tick{at < s.now ? s.now : at, s.next_seq++, fn, ctx});
+  s.note_depth();
+}
+
 void Engine::spawn(Process p) {
   if (shards_.empty()) {
     const Process::Handle h = p.release();
@@ -198,34 +204,46 @@ void Engine::dispatch(const Event& ev) {
 
 SimTime Engine::run() { return run_until(kTimeInfinity); }
 
+Engine::Next Engine::settle(EngineEventQueue& events, const TickHeap& ticks,
+                           CallNode*& free_list) noexcept {
+  // The cancellation check happens when a record becomes the global (at,
+  // seq) minimum.  Under the calendar queue a whole day's events are already
+  // batched into the epoch heap by then; a flag set mid-epoch (even by an
+  // earlier event of the same batch) is still honoured, so both queue builds
+  // discard at the identical point.
+  while (!events.empty()) {
+    const Event& ev = events.front();
+    if (!ticks.empty() && earlier(ticks.top(), ev)) return Next{Next::kTick, ticks.top().at};
+    if (!ev.is_call) return Next{Next::kEvent, ev.at};
+    auto* node = reinterpret_cast<CallNode*>(ev.payload);
+    if (!node->cancelled) return Next{Next::kEvent, ev.at};
+    // Cancelled callback: discard without advancing virtual time or
+    // counting an executed event.
+    events.pop_front();
+    node->drop(*node);
+    pool_release(free_list, node);
+  }
+  return ticks.empty() ? Next{Next::kNone, 0} : Next{Next::kTick, ticks.top().at};
+}
+
 SimTime Engine::run_until(SimTime deadline) {
   if (!shards_.empty()) return run_sharded(deadline);
-  // The cancellation check happens when an event reaches the queue front —
-  // i.e. when it becomes the global (at, seq) minimum.  Under the calendar
-  // queue a whole day's events are already batched into the epoch heap by
-  // then; a flag set mid-epoch (even by an earlier event of the same batch)
-  // is still honoured, so both queue builds discard at the identical point.
-  while (!events_.empty()) {
-    const Event ev = events_.front();
-    if (ev.is_call) {
-      auto* node = reinterpret_cast<CallNode*>(ev.payload);
-      if (node->cancelled) {
-        // Cancelled callback: discard without advancing virtual time or
-        // counting an executed event.
-        events_.pop_front();
-        node->drop(*node);
-        release_call_node(node);
-        continue;
-      }
-    }
-    if (ev.at > deadline) {
+  for (;;) {
+    const Next next = settle(events_, ticks_, free_calls_);
+    if (next.kind == Next::kNone) break;
+    if (next.at > deadline) {
       now_ = deadline;
       return now_;
     }
-    events_.pop_front();
-    now_ = ev.at;
+    now_ = next.at;
     ++events_executed_;
-    dispatch(ev);
+    if (next.kind == Next::kTick) {
+      ticks_.dispatch_top();
+    } else {
+      const Event ev = events_.front();
+      events_.pop_front();
+      dispatch(ev);
+    }
     if (pending_) {
       std::rethrow_exception(std::exchange(pending_, nullptr));
     }
@@ -237,7 +255,7 @@ void Engine::configure_shards(int shards, SimTime lookahead) {
   if (shards < 1) throw std::invalid_argument("Engine::configure_shards: shards must be >= 1");
   if (shards == 1) return;  // stays on the unsharded legacy path
   if (!shards_.empty()) throw std::logic_error("Engine::configure_shards: already sharded");
-  if (now_ != 0 || events_executed_ != 0 || !events_.empty() || live_head_ != nullptr) {
+  if (now_ != 0 || events_executed_ != 0 || !empty() || live_head_ != nullptr) {
     throw std::logic_error("Engine::configure_shards: engine has already been used");
   }
   if (lookahead <= 0) {
@@ -277,25 +295,21 @@ void Engine::run_window(std::size_t shard, SimTime end) {
   const int prev_index = t_shard_index;
   t_shard_engine = this;
   t_shard_index = static_cast<int>(shard);
-  while (!s.events.empty()) {
-    const Event ev = s.events.front();
-    if (ev.is_call) {
-      auto* node = reinterpret_cast<CallNode*>(ev.payload);
-      if (node->cancelled) {
-        s.events.pop_front();
-        node->drop(*node);
-        pool_release(s.free_calls, node);
-        continue;
-      }
-    }
-    if (ev.at >= end) break;
-    s.events.pop_front();
-    s.now = ev.at;
+  for (;;) {
+    const Next next = settle(s.events, s.ticks, s.free_calls);
+    if (next.kind == Next::kNone || next.at >= end) break;
+    s.now = next.at;
     ++s.events_executed;
-    try {
-      dispatch(ev);
-    } catch (...) {
-      if (!s.pending) s.pending = std::current_exception();
+    if (next.kind == Next::kTick) {
+      s.ticks.dispatch_top();
+    } else {
+      const Event ev = s.events.front();
+      s.events.pop_front();
+      try {
+        dispatch(ev);
+      } catch (...) {
+        if (!s.pending) s.pending = std::current_exception();
+      }
     }
     if (s.pending) break;  // surface at the barrier, like the legacy rethrow
   }
@@ -313,20 +327,8 @@ SimTime Engine::run_sharded(SimTime deadline) {
     SimTime window = kTimeInfinity;
     for (auto& sp : shards_) {
       Shard& s = *sp;
-      while (!s.events.empty()) {
-        const Event ev = s.events.front();
-        if (ev.is_call) {
-          auto* node = reinterpret_cast<CallNode*>(ev.payload);
-          if (node->cancelled) {
-            s.events.pop_front();
-            node->drop(*node);
-            pool_release(s.free_calls, node);
-            continue;
-          }
-        }
-        break;
-      }
-      if (!s.events.empty() && s.events.front().at < window) window = s.events.front().at;
+      const Next next = settle(s.events, s.ticks, s.free_calls);
+      if (next.kind != Next::kNone && next.at < window) window = next.at;
     }
     if (window == kTimeInfinity) break;  // every shard queue drained
     if (window > deadline) {
@@ -397,16 +399,9 @@ std::size_t Engine::sharded_events_executed() const noexcept {
   return total;
 }
 
-bool Engine::sharded_empty() const noexcept {
-  for (const auto& sp : shards_) {
-    if (!sp->events.empty()) return false;
-  }
-  return true;
-}
-
 std::size_t Engine::sharded_queue_depth() const noexcept {
   std::size_t total = 0;
-  for (const auto& sp : shards_) total += sp->events.size();
+  for (const auto& sp : shards_) total += sp->events.size() + sp->ticks.size();
   return total;
 }
 

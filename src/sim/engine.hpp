@@ -44,7 +44,10 @@ namespace dlb::sim {
 /// callable lives in a per-engine pooled CallNode with a 64-byte inline
 /// buffer (larger captures spill to the heap, once, inside the node).  Nodes
 /// are recycled through a free list, so the steady state of a run performs
-/// no allocation per event.
+/// no allocation per event.  Beside the queue sits a small tick heap of bare
+/// `fn(ctx)` records (`schedule_tick`) for the CPU-slice boundaries that
+/// re-arm on every firing; its records share the `seq` counter and merge with
+/// the queue front by (at, seq), so they order exactly like events.
 ///
 /// Sharded mode (`configure_shards`): the engine splits into S shards, each
 /// owning its own event queue, CallNode pool, frame arena and live-process
@@ -188,6 +191,24 @@ class Engine {
     sharded_schedule_resume(at, h);
   }
 
+  /// Schedules a bare `fn(ctx)` call at absolute virtual time `at` (clamped
+  /// to `now()`) on the tick heap beside the event queue.  The record takes
+  /// its `seq` from the same counter as every event and is merged with the
+  /// queue front by (at, seq), so it fires exactly where an event pushed at
+  /// this point would have; it counts in `events_executed()` and in the
+  /// queue depths like one.  Built for callbacks that re-arm themselves on
+  /// every firing (the workstation CPU's slice boundaries): `fn` may call
+  /// `schedule_tick` again, which reuses the firing record's heap slot.
+  /// Ticks cannot be cancelled and own nothing; `ctx` must outlive the tick.
+  void schedule_tick(SimTime at, TickFn fn, void* ctx) noexcept {
+    if (shards_.empty()) {
+      ticks_.push(Tick{at < now_ ? now_ : at, next_seq_++, fn, ctx});
+      note_depth();
+      return;
+    }
+    sharded_schedule_tick(at, fn, ctx);
+  }
+
   /// Starts a root process as an event at the current time.  The engine owns
   /// the frame; exceptions escaping the process are re-thrown from run().
   /// On a sharded engine the caller must hold a ShardScope (or be inside a
@@ -318,21 +339,20 @@ class Engine {
   [[nodiscard]] std::size_t events_executed() const noexcept {
     return shards_.empty() ? events_executed_ : sharded_events_executed();
   }
-  [[nodiscard]] bool empty() const noexcept {
-    return shards_.empty() ? events_.empty() : sharded_empty();
-  }
+  [[nodiscard]] bool empty() const noexcept { return queue_depth() == 0; }
 
   /// Name of the compile-time-selected event queue ("calendar" or "heap").
   [[nodiscard]] static constexpr const char* event_queue_name() noexcept {
     return EngineEventQueue::kName;
   }
 
-  /// Current number of queued events (observability: sampled as the
-  /// "heap depth" counter track of a Chrome trace).
+  /// Current number of pending events and ticks (observability: sampled as
+  /// the "heap depth" counter track of a Chrome trace).  The record being
+  /// dispatched is not pending.
   [[nodiscard]] std::size_t queue_depth() const noexcept {
-    return shards_.empty() ? events_.size() : sharded_queue_depth();
+    return shards_.empty() ? events_.size() + ticks_.size() : sharded_queue_depth();
   }
-  /// High-water mark of the event queue over the engine's lifetime (summed
+  /// High-water mark of `queue_depth()` over the engine's lifetime (summed
   /// over shards when sharded).
   [[nodiscard]] std::size_t peak_queue_depth() const noexcept {
     return shards_.empty() ? peak_queue_depth_ : sharded_peak_queue_depth();
@@ -366,6 +386,7 @@ class Engine {
   /// nothing here needs locking.
   struct Shard {
     EngineEventQueue events;
+    TickHeap ticks;
     std::vector<std::unique_ptr<CallNode[]>> call_chunks;
     CallNode* free_calls = nullptr;
     Process::promise_type* live_head = nullptr;
@@ -379,9 +400,25 @@ class Engine {
 
     void push(Event ev) noexcept {
       events.push(ev);
-      if (events.size() > peak_queue_depth) peak_queue_depth = events.size();
+      note_depth();
+    }
+    void note_depth() noexcept {
+      const std::size_t depth = events.size() + ticks.size();
+      if (depth > peak_queue_depth) peak_queue_depth = depth;
     }
   };
+
+  /// Which record holds the (at, seq) minimum of an event queue and its tick
+  /// heap, and its time.
+  struct Next {
+    enum Kind { kNone, kTick, kEvent } kind;
+    SimTime at;
+  };
+  /// Discards cancelled callbacks while they hold the minimum — only there,
+  /// never while they sit behind an earlier tick, so queue depths match an
+  /// engine whose ticks were ordinary events — and names the minimum.
+  static Next settle(EngineEventQueue& events, const TickHeap& ticks,
+                     CallNode*& free_list) noexcept;
 
   [[nodiscard]] CallNode* acquire_call_node();
   void release_call_node(CallNode* node) noexcept;
@@ -394,7 +431,11 @@ class Engine {
   // Inline: sits directly in every awaiter's suspend path.
   void push_event(Event ev) noexcept {
     events_.push(ev);
-    if (events_.size() > peak_queue_depth_) peak_queue_depth_ = events_.size();
+    note_depth();
+  }
+  void note_depth() noexcept {
+    const std::size_t depth = events_.size() + ticks_.size();
+    if (depth > peak_queue_depth_) peak_queue_depth_ = depth;
   }
 
   void dispatch(const Event& ev);
@@ -405,15 +446,16 @@ class Engine {
   // `shards_.empty()` first, so the legacy hot path stays unchanged).
   [[nodiscard]] Shard& ctx_shard() noexcept;
   void sharded_schedule_resume(SimTime at, std::coroutine_handle<> h) noexcept;
+  void sharded_schedule_tick(SimTime at, TickFn fn, void* ctx) noexcept;
   [[nodiscard]] SimTime sharded_now() const noexcept;
   [[nodiscard]] std::size_t sharded_events_executed() const noexcept;
-  [[nodiscard]] bool sharded_empty() const noexcept;
   [[nodiscard]] std::size_t sharded_queue_depth() const noexcept;
   [[nodiscard]] std::size_t sharded_peak_queue_depth() const noexcept;
   SimTime run_sharded(SimTime deadline);
   void run_window(std::size_t shard, SimTime end);
 
   EngineEventQueue events_;  // strict (at, seq) pop order
+  TickHeap ticks_;           // merged with events_ by (at, seq)
   std::vector<std::unique_ptr<CallNode[]>> call_chunks_;
   CallNode* free_calls_ = nullptr;
   Process::promise_type* live_head_ = nullptr;  // intrusive list of root frames

@@ -193,6 +193,90 @@ class CalendarEventQueue {
   bool retune_pending_ = false;              // oversized epoch seen
 };
 
+/// A bare callback record for the engine's tick heap: `fn(ctx)` at `at`.
+/// `seq` comes from the same insertion counter as every Event, so ticks and
+/// events share one strict (at, seq) order.
+using TickFn = void (*)(void* ctx) noexcept;
+struct Tick {
+  SimTime at;
+  std::uint64_t seq;
+  TickFn fn;
+  void* ctx;
+};
+
+[[nodiscard]] inline bool earlier(const Tick& a, const Tick& b) noexcept {
+  return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+}
+[[nodiscard]] inline bool earlier(const Tick& a, const Event& b) noexcept {
+  return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+}
+
+/// Binary min-heap of ticks on (at, seq), kept beside the event queue for
+/// callbacks that re-arm themselves on every firing (one pending tick per
+/// simulated CPU, so the heap stays tiny).  The root being dispatched is
+/// not pending: it is excluded from size(), and the first push made while
+/// it runs overwrites its slot (replace-top), so a self-re-arming tick
+/// costs one sift-down instead of a pop plus a push.
+class TickHeap {
+ public:
+  void push(Tick t) noexcept {
+    if (in_dispatch_) {
+      in_dispatch_ = false;
+      sift_down(t);
+      return;
+    }
+    heap_.push_back(t);
+    std::size_t i = heap_.size() - 1;
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!earlier(t, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = t;
+  }
+
+  /// Requires !empty() and no dispatch in progress.
+  [[nodiscard]] const Tick& top() const noexcept { return heap_.front(); }
+
+  /// Runs the root's callback, then drops the root unless the callback
+  /// re-armed into its slot.  Requires !empty().
+  void dispatch_top() noexcept {
+    const Tick t = heap_.front();
+    in_dispatch_ = true;
+    t.fn(t.ctx);
+    if (in_dispatch_) {
+      in_dispatch_ = false;
+      const Tick last = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_down(last);
+    }
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return heap_.size() - (in_dispatch_ ? 1 : 0);
+  }
+
+ private:
+  void sift_down(Tick t) noexcept {  // fills the root hole with t
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+      if (!earlier(heap_[child], t)) break;
+      heap_[i] = heap_[child];
+      i = child;
+    }
+    heap_[i] = t;
+  }
+
+  std::vector<Tick> heap_;
+  bool in_dispatch_ = false;  // heap_.front() is the tick being dispatched
+};
+
 template <typename Q>
 concept EventQueueLike = requires(Q q, const Q cq, Event ev) {
   { q.push(ev) } noexcept;

@@ -251,6 +251,32 @@ TEST(ExpDeterminism, Figure5CsvGoldensDisarmedAndUnderEveryFaultPreset) {
   }
 }
 
+TEST(ExpDeterminism, Figure6And8CsvGoldensAtThirtySeeds) {
+  // Pins the contention cells Fig. 5 at one seed never reaches: under LCDLB
+  // and LDDLB the balancer computes on a slave's CPU between the slave's
+  // quanta, and stations finishing at the same nanosecond order the shared
+  // medium by their last slice boundary.  Any drift in where a CPU slice
+  // boundary falls, or in its (time, insertion) order, moves these bytes.
+  struct Golden {
+    const char* figure;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {"--figure=6", 0x76c175935fcc9cf6ull},
+      {"--figure=8", 0x8433a75d49767fb6ull},
+  };
+  for (const Golden& golden : goldens) {
+    const char* argv[] = {"exp_determinism_test", golden.figure, "--seeds=30"};
+    const dlb::support::Cli cli(3, argv);
+    const auto grid = dlb::exp::parse_grid(cli);
+    RunnerOptions options;
+    options.threads = 4;
+    const auto digest = fnv1a(csv_of(Runner(options).run(grid)));
+    EXPECT_EQ(digest, golden.digest) << golden.figure << " --seeds=30: CSV digest "
+                                     << hex_of(digest);
+  }
+}
+
 /// Every file of a --trace-out directory, name and bytes, in name order
 /// (the names lead with the canonical cell index).
 std::string concat_trace_dir(const std::filesystem::path& dir) {
